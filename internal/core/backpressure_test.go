@@ -15,19 +15,34 @@ import (
 	"repro/internal/wkt"
 )
 
-// probeParser wraps the pooled WKTParser and flags any Parse call that
-// happens while a sink invocation is in progress — direct evidence of
+// probeParser wraps the pooled WKTParser and flags a Parse call of batch 2
+// that happens while the sink is inside batch 1 — direct evidence of
 // parse/drain overlap (or, in the synchronous control run, of its
-// absence).
+// absence). Parse calls are numbered; the first one past the first batch
+// is the first that can overlap, and it waits (bounded) for the sink to
+// report entering batch 1 before it looks. The rank hands batch 1 over
+// before it parses record batch+1, so under SinkOverlap that wait ends
+// with the sink still holding batch 1 — however the scheduler orders the
+// sink goroutine's start — and on the synchronous path the sink has
+// entered and left already.
 type probeParser struct {
+	batch   int32
+	calls   *atomic.Int32
+	entered chan struct{} // closed by the sink on entering batch 1
 	inSink  *atomic.Int32
 	overlap *atomic.Int32
 	inner   WKTParser
 }
 
 func (p probeParser) Parse(rec []byte) (geom.Geometry, error) {
-	if p.inSink.Load() == 1 {
-		p.overlap.Store(1)
+	if p.calls.Add(1) == p.batch+1 {
+		select {
+		case <-p.entered:
+			if p.inSink.Load() == 1 {
+				p.overlap.Store(1)
+			}
+		case <-time.After(10 * time.Second):
+		}
 	}
 	return p.inner.Parse(rec)
 }
@@ -42,21 +57,25 @@ func (p probeParser) Parse(rec []byte) (geom.Geometry, error) {
 // is the sink hand-off itself.
 func TestBackpressureOverlapProof(t *testing.T) {
 	pfile := makeWKTFile(t, genRecords(400, 71))
+	const batch = 16
 
 	run := func(overlapMode bool) (observed bool) {
-		var inSink, overlap atomic.Int32
+		var calls, inSink, overlap atomic.Int32
+		entered := make(chan struct{})
+		probe := probeParser{batch: batch, calls: &calls, entered: entered, inSink: &inSink, overlap: &overlap}
 		err := mpi.Run(cluster.Local(1), func(c *mpi.Comm) error {
 			f := mpiio.Open(c, pfile, mpiio.Hints{})
 			delivered := 0
-			_, err := ReadStream(c, f, probeParser{inSink: &inSink, overlap: &overlap}, ReadOptions{
-				BlockSize: 512, StreamBatch: 16, SinkOverlap: overlapMode,
-			}, func(batch []geom.Geometry) error {
+			_, err := ReadStream(c, f, probe, ReadOptions{
+				BlockSize: 512, StreamBatch: batch, SinkOverlap: overlapMode,
+			}, func([]geom.Geometry) error {
 				delivered++
 				if delivered > 1 {
 					return nil
 				}
 				inSink.Store(1)
 				defer inSink.Store(0)
+				close(entered)
 				if !overlapMode {
 					// The synchronous control cannot wait for a concurrent
 					// parse (there is none); linger long enough that a buggy

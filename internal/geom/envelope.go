@@ -123,19 +123,6 @@ func EnvelopeOf(pts []Point) Envelope {
 	return e
 }
 
-// ExpandToPoint grows the envelope to include (x,y).
-func (e Envelope) ExpandToPoint(x, y float64) Envelope {
-	if e.IsEmpty() {
-		return Envelope{x, y, x, y}
-	}
-	return Envelope{
-		MinX: math.Min(e.MinX, x),
-		MinY: math.Min(e.MinY, y),
-		MaxX: math.Max(e.MaxX, x),
-		MaxY: math.Max(e.MaxY, y),
-	}
-}
-
 // ExpandBy pads every side by d (negative d shrinks; the result may become
 // empty).
 func (e Envelope) ExpandBy(d float64) Envelope {

@@ -98,10 +98,6 @@ func TestEnvelopeExpand(t *testing.T) {
 	if got := (Envelope{0, 0, 1, 1}).ExpandBy(-2); !got.IsEmpty() {
 		t.Errorf("over-shrunk envelope should be empty, got %+v", got)
 	}
-	pt := EmptyEnvelope().ExpandToPoint(3, 4)
-	if pt != (Envelope{3, 4, 3, 4}) {
-		t.Errorf("ExpandToPoint on empty = %+v", pt)
-	}
 }
 
 func TestEnvelopeCenterCornersPolygon(t *testing.T) {

@@ -89,7 +89,7 @@ func pointIntersects(p Point, b Geometry) bool {
 func lineIntersects(l *LineString, b Geometry) bool {
 	switch g := b.(type) {
 	case *LineString:
-		return polylinesCross(l.Pts, g.Pts)
+		return polylinesCross(l.Pts, l.Envelope(), g.Pts, g.Envelope())
 	case *Polygon:
 		return linePolygonIntersects(l, g)
 	default:
@@ -149,31 +149,70 @@ func pointOnLine(p Point, pts []Point) bool {
 	return false
 }
 
-// polylinesCross reports whether any segment of a intersects any segment of
-// b. Envelope pre-tests per segment keep the O(n*m) loop cheap; the paper's
-// workloads call this only on filter survivors inside a single grid cell.
-func polylinesCross(a, b []Point) bool {
-	for i := 1; i < len(a); i++ {
-		segEnv := segmentEnvelope(a[i-1], a[i])
-		for j := 1; j < len(b); j++ {
-			if !segEnv.Intersects(segmentEnvelope(b[j-1], b[j])) {
+// polylinesCross reports whether any segment of a shares a point with any
+// segment of b. It tests exactly the segment pairs whose closed envelopes
+// meet, but skips most of them without looking: two segment envelopes can
+// only meet inside the overlap window w of the two runs' envelopes (each
+// segment envelope lies inside its own run's envelope), so a segment whose
+// envelope misses w meets no segment of the other run. The kernel gathers
+// b's segments that meet w into a stack buffer, then runs the inner loop
+// over them only for the segments of a that meet w: O(n+m+k*m') for k and
+// m' window survivors instead of O(n*m). The window and every envelope
+// test are min/max and comparisons only, with no rounding, so the filter
+// is exact and the pairs handed to SegmentsIntersect are exactly those an
+// all-pairs loop with per-pair envelope pre-tests would test. ea and eb
+// must contain a and b; callers pass the geometries' cached envelopes so a
+// long ring is not rescanned on every call.
+func polylinesCross(a []Point, ea Envelope, b []Point, eb Envelope) bool {
+	w := Envelope{
+		MinX: max(ea.MinX, eb.MinX), MinY: max(ea.MinY, eb.MinY),
+		MaxX: min(ea.MaxX, eb.MaxX), MaxY: min(ea.MaxY, eb.MaxY),
+	}
+	if w.MinX > w.MaxX || w.MinY > w.MaxY {
+		return false
+	}
+	// b's survivors go through the buffer in chunks, so a run with more
+	// survivors than fit rescans a once per chunk instead of allocating.
+	var buf [128]int32
+	for j := 1; j < len(b); {
+		keep := buf[:0]
+		for ; j < len(b) && len(keep) < len(buf); j++ {
+			if segmentMeets(b[j-1], b[j], w) {
+				keep = append(keep, int32(j))
+			}
+		}
+		if len(keep) == 0 {
+			break // j reached the end of b
+		}
+		for i := 1; i < len(a); i++ {
+			p, q := a[i-1], a[i]
+			s := Envelope{min(p.X, q.X), min(p.Y, q.Y), max(p.X, q.X), max(p.Y, q.Y)}
+			if !envelopesMeet(s, w) {
 				continue
 			}
-			if SegmentsIntersect(a[i-1], a[i], b[j-1], b[j]) {
-				return true
+			for _, k := range keep {
+				if segmentMeets(b[k-1], b[k], s) && SegmentsIntersect(p, q, b[k-1], b[k]) {
+					return true
+				}
 			}
 		}
 	}
 	return false
 }
 
-func segmentEnvelope(a, b Point) Envelope {
-	e := Envelope{a.X, a.Y, a.X, a.Y}
-	return e.ExpandToPoint(b.X, b.Y)
+// segmentMeets reports whether the closed envelope of segment pq meets the
+// closed envelope e.
+func segmentMeets(p, q Point, e Envelope) bool {
+	return envelopesMeet(Envelope{min(p.X, q.X), min(p.Y, q.Y), max(p.X, q.X), max(p.Y, q.Y)}, e)
+}
+
+// envelopesMeet is Envelope.Intersects for operands known to be non-empty.
+func envelopesMeet(s, e Envelope) bool {
+	return s.MinX <= e.MaxX && e.MinX <= s.MaxX && s.MinY <= e.MaxY && e.MinY <= s.MaxY
 }
 
 // linePolygonIntersects: a line meets a polygon if an endpoint is inside it
-// or any segment crosses the shell or a hole ring.
+// or any segment meets the shell or a hole ring.
 func linePolygonIntersects(l *LineString, poly *Polygon) bool {
 	if len(l.Pts) == 0 {
 		return false
@@ -181,23 +220,29 @@ func linePolygonIntersects(l *LineString, poly *Polygon) bool {
 	if PointInPolygon(l.Pts[0], poly) {
 		return true
 	}
-	if polylinesCross(l.Pts, poly.Shell) {
-		return true
-	}
-	for _, h := range poly.Holes {
-		if polylinesCross(l.Pts, h) {
+	for i := -1; i < len(poly.Holes); i++ {
+		r, e := ring(poly, i)
+		if polylinesCross(l.Pts, l.Envelope(), r, e) {
 			return true
 		}
 	}
 	return false
 }
 
-// polygonsIntersect: boundaries cross, or one polygon contains the other.
+// polygonsIntersect: some ring of a meets some ring of b, or one polygon
+// contains the other. With no ring pair meeting, every ring of one polygon
+// lies wholly inside or wholly outside each region the other's rings
+// bound, so one vertex of each shell decides containment (PointInPolygon
+// applies the holes).
 func polygonsIntersect(a, b *Polygon) bool {
-	if polylinesCross(a.Shell, b.Shell) {
-		return true
+	for i := -1; i < len(a.Holes); i++ {
+		ra, ea := ring(a, i)
+		for j := -1; j < len(b.Holes); j++ {
+			if rb, eb := ring(b, j); polylinesCross(ra, ea, rb, eb) {
+				return true
+			}
+		}
 	}
-	// No boundary crossing: either disjoint or one inside the other.
 	if len(b.Shell) > 0 && PointInPolygon(b.Shell[0], a) {
 		return true
 	}
@@ -205,6 +250,15 @@ func polygonsIntersect(a, b *Polygon) bool {
 		return true
 	}
 	return false
+}
+
+// ring returns the shell (i = -1) or hole i with its envelope; the
+// shell's is the polygon's cached one.
+func ring(p *Polygon, i int) ([]Point, Envelope) {
+	if i < 0 {
+		return p.Shell, p.Envelope()
+	}
+	return p.Holes[i], EnvelopeOf(p.Holes[i])
 }
 
 // orientation returns >0 if (a,b,c) turn counter-clockwise, <0 clockwise,
