@@ -159,35 +159,21 @@ func main() {
 		fmt.Printf("   (wrote %s)\n", *ingestOut)
 		return
 	}
-	run := func(e bench.Experiment) error {
+	ids := []string{*exp}
+	if *exp == "all" {
+		ids = ids[:0]
+		for _, e := range bench.Experiments() {
+			ids = append(ids, e.ID)
+		}
+	}
+	for _, id := range ids {
 		start := time.Now()
-		tbl, err := e.Run(cfg)
+		tbl, err := bench.Run(id, cfg)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
+			fmt.Fprintf(os.Stderr, "vectorio-bench: %s: %v\n", id, err)
+			os.Exit(1)
 		}
 		tbl.Print(os.Stdout)
-		fmt.Printf("   (%s regenerated in %.1fs wall time)\n\n", e.ID, time.Since(start).Seconds())
-		return nil
+		fmt.Printf("   (%s regenerated in %.1fs wall time)\n\n", id, time.Since(start).Seconds())
 	}
-
-	if *exp == "all" {
-		for _, e := range bench.Experiments() {
-			if err := run(e); err != nil {
-				fmt.Fprintln(os.Stderr, "vectorio-bench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	for _, e := range bench.Experiments() {
-		if e.ID == *exp {
-			if err := run(e); err != nil {
-				fmt.Fprintln(os.Stderr, "vectorio-bench:", err)
-				os.Exit(1)
-			}
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "vectorio-bench: unknown experiment %q (use -list)\n", *exp)
-	os.Exit(1)
 }

@@ -2,7 +2,9 @@
 // determinism and safety invariants: it loads and type-checks the
 // packages matching its arguments and runs the internal/analysis suite
 // (wallclock, commsafety, maporder, arenaescape, errwrap, collective,
-// clockcharge) over them.
+// clockcharge, deadcode) over them. The program roots (cmd/..., examples/...,
+// perfbench, vectorio) are loaded whatever the patterns, so deadcode sees
+// every caller.
 //
 // Usage:
 //

@@ -56,10 +56,25 @@ func TestListMode(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("-list: exit %d (%s)", code, errOut.String())
 	}
-	for _, name := range []string{"wallclock", "commsafety", "maporder", "arenaescape", "errwrap", "collective", "clockcharge"} {
+	for _, name := range []string{"wallclock", "commsafety", "maporder", "arenaescape", "errwrap", "collective", "clockcharge", "deadcode"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
+	}
+}
+
+// TestSinglePackageClean pins the deadcode root set: vetting one package
+// alone still loads every program root, so the mpi methods that only
+// commands, examples and perfbench call are not reported.
+func TestSinglePackageClean(t *testing.T) {
+	var out, errOut strings.Builder
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chdir(t, root)
+	if code := run([]string{"./internal/mpi/"}, &out, &errOut); code != 0 {
+		t.Errorf("./internal/mpi/ alone: exit %d, want 0\n%s%s", code, out.String(), errOut.String())
 	}
 }
 

@@ -178,26 +178,16 @@ type RunOptions struct {
 	// Scope. Used by the analysistest fixture runner, whose fixture
 	// packages live outside the real invariant scopes.
 	ForceScope bool
-	// FactPackages, when non-nil, is the package set facts (//vet:pooled
-	// marks) are gathered from instead of the analyzed set — so a
-	// fixture package can use pooled types declared in its real
-	// dependencies.
-	FactPackages []*Package
 }
 
-// RunAnalyzers applies analyzers to the loaded packages and returns the
-// surviving diagnostics: findings not suppressed by a //vet:allow mark on
-// their own line or the line above, plus one diagnostic per malformed
-// mark. Diagnostics come back sorted by file position.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) ([]Diagnostic, error) {
-	factSet := pkgs
-	if opt.FactPackages != nil {
-		factSet = opt.FactPackages
-	}
-	return runWithFacts(pkgs, analyzers, opt, gatherFacts(factSet))
-}
-
-func runWithFacts(pkgs []*Package, analyzers []*Analyzer, opt RunOptions, facts *Facts) ([]Diagnostic, error) {
+// Check applies analyzers to pkgs and returns the surviving diagnostics:
+// findings not suppressed by a //vet:allow mark on their own line or the
+// line above, plus one diagnostic per malformed mark. Diagnostics come
+// back sorted by file position. Facts and the call graph span every
+// package the loader has loaded, not just pkgs, so a //vet:pooled marker
+// on a dependency's type is visible and deadcode sees every caller.
+func (l *Loader) Check(pkgs []*Package, analyzers []*Analyzer, opt RunOptions) ([]Diagnostic, error) {
+	facts := gatherFacts(l.Packages())
 	var diags []Diagnostic
 	// A //vet:uniform mark without a reason is reported, not honored —
 	// but only when its file is in the analyzed set, so a fixture run

@@ -34,6 +34,8 @@ var wantArgRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // analyzer's package directory, usually via analysistest.TestData()) and
 // checks a's diagnostics against the fixture's want comments. Scope
 // filters are bypassed: fixtures exercise the rule wherever they live.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	srcRoot := filepath.Join(testdata, "src")
@@ -52,8 +54,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	}
 	// Only the fixture package is analyzed (scope forced), but facts
 	// (//vet:pooled marks) must see every real package it pulled in.
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{p}, []*analysis.Analyzer{a},
-		analysis.RunOptions{ForceScope: true, FactPackages: l.Packages()})
+	diags, err := l.Check([]*analysis.Package{p}, []*analysis.Analyzer{a}, analysis.RunOptions{ForceScope: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +92,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 }
 
 // TestData returns the caller package's testdata directory.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func TestData(t *testing.T) string {
 	t.Helper()
 	abs, err := filepath.Abs("testdata")

@@ -40,8 +40,7 @@ import (
 // commCollectives are the mpi.Comm methods every rank must reach in the
 // same order: the collective protocol the collective analyzer enforces.
 var commCollectives = map[string]bool{
-	"Barrier": true, "Bcast": true, "Gather": true, "Scatter": true,
-	"Allgather": true, "AlltoallFixed": true, "Alltoallv": true,
+	"Barrier": true, "Bcast": true, "Allgather": true, "Alltoallv": true,
 	"Reduce": true, "Allreduce": true, "Scan": true, "WorldSync": true,
 }
 
@@ -59,8 +58,7 @@ var commFallible = map[string]bool{
 // semantics: every rank of the communicator must call them (MPI_File_*_all
 // and the view rendezvous).
 var fileCollectives = map[string]bool{
-	"ReadAtAll": true, "WriteAtAll": true, "ReadViewAll": true,
-	"WriteViewAll": true, "SetView": true,
+	"ReadAtAll": true, "ReadViewAll": true, "WriteViewAll": true, "SetView": true,
 }
 
 // A CommCall is one direct communicator-facing call recorded on a node.
@@ -141,6 +139,11 @@ type CallGraph struct {
 	pooledRet   map[*types.Func]bool
 	paramPass   map[*types.Func][]bool
 	paramEsc    map[*types.Func][]bool
+
+	// loaded is the set of packages the graph spans; liveFuncs is the
+	// deadcode reachability set, computed on first use.
+	loaded    map[*types.Package]bool
+	liveFuncs map[*types.Func]bool
 }
 
 // Node returns the graph node for fn, or nil for functions outside the
@@ -256,8 +259,10 @@ func buildCallGraph(pkgs []*Package, facts *Facts) *CallGraph {
 		pooledRet:   make(map[*types.Func]bool),
 		paramPass:   make(map[*types.Func][]bool),
 		paramEsc:    make(map[*types.Func][]bool),
+		loaded:      make(map[*types.Package]bool),
 	}
 	for _, pkg := range pkgs {
+		g.loaded[pkg.Types] = true
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)

@@ -78,6 +78,14 @@ func TestExpandPatterns(t *testing.T) {
 			t.Errorf("./... did not match %s (got %d packages)", want, len(rels))
 		}
 	}
+	// perfbench is a nested module: its own pattern matches it, ./... does
+	// not.
+	if got["perfbench"] {
+		t.Error("./... matched the nested perfbench module")
+	}
+	if nested, err := analysis.ExpandPatterns(root, "repro", []string{"./perfbench/..."}); err != nil || len(nested) != 1 || nested[0] != "perfbench" {
+		t.Errorf("./perfbench/... expanded to %v, %v", nested, err)
+	}
 
 	one, err := analysis.ExpandPatterns(root, "repro", []string{"./internal/core"})
 	if err != nil {

@@ -41,3 +41,9 @@ func TestCollectiveFixture(t *testing.T) {
 func TestClockChargeFixture(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), analysis.ClockCharge, "clockcharge")
 }
+
+// The deadcode fixture's root is its init; a _test.go caller in the
+// fixture does not count, exactly as in the repository.
+func TestDeadcodeFixture(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), analysis.Deadcode, "deadcode")
+}

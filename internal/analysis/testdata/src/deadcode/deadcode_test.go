@@ -1,0 +1,9 @@
+package deadcode
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	if onlyTested() != 1 {
+		t.Fatal("onlyTested")
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 // Analyzers returns the full vectorio-vet suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Wallclock, CommSafety, MapOrder, ArenaEscape, ErrWrap, Collective, ClockCharge}
+	return []*Analyzer{Wallclock, CommSafety, MapOrder, ArenaEscape, ErrWrap, Collective, ClockCharge, Deadcode}
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing a
@@ -35,8 +35,9 @@ func FindModuleRoot(dir string) (string, error) {
 
 // ExpandPatterns resolves go-tool-style package patterns ("./...",
 // "./internal/core", "repro/internal/...") to module-relative package
-// directories holding at least one non-test Go file. testdata trees and
-// hidden directories are skipped, exactly as the go tool skips them.
+// directories holding at least one non-test Go file. testdata trees,
+// hidden directories and nested modules are skipped, exactly as the go
+// tool skips them.
 func ExpandPatterns(moduleDir, modulePath string, patterns []string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
@@ -88,6 +89,11 @@ func ExpandPatterns(moduleDir, modulePath string, patterns []string) ([]string, 
 			if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
+			// A nested module (perfbench) is its own ./... root, as for
+			// the go tool.
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && p != root {
+				return filepath.SkipDir
+			}
 			if hasGoFiles(p) {
 				rel, err := filepath.Rel(moduleDir, p)
 				if err != nil {
@@ -135,6 +141,30 @@ func CheckModule(moduleDir string, patterns []string, analyzers []*Analyzer) ([]
 	if err != nil {
 		return nil, err
 	}
+	pkgs, err := l.loadRels(rels)
+	if err != nil {
+		return nil, err
+	}
+	// The program roots are loaded whatever the patterns, so deadcode
+	// sees every caller of a package vetted alone.
+	for _, pat := range rootPatterns {
+		dir := strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/...")
+		if _, err := os.Stat(filepath.Join(l.ModuleDir, dir)); err != nil {
+			continue
+		}
+		roots, err := ExpandPatterns(l.ModuleDir, l.ModulePath, []string{pat})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := l.loadRels(roots); err != nil {
+			return nil, err
+		}
+	}
+	return l.Check(pkgs, analyzers, RunOptions{})
+}
+
+// loadRels loads module-relative package directories.
+func (l *Loader) loadRels(rels []string) ([]*Package, error) {
 	var pkgs []*Package
 	for _, rel := range rels {
 		path := l.ModulePath
@@ -147,8 +177,5 @@ func CheckModule(moduleDir string, patterns []string, analyzers []*Analyzer) ([]
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	// Facts come from everything the load pulled in, not just the match
-	// set, so a //vet:pooled marker on a dependency's type is visible.
-	facts := gatherFacts(l.Packages())
-	return runWithFacts(pkgs, analyzers, RunOptions{}, facts)
+	return pkgs, nil
 }

@@ -207,11 +207,3 @@ func f64bytes(v float64) []byte {
 
 // seconds formats a time in seconds with sensible precision.
 func seconds(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// gbps formats a bandwidth in GB/s.
-func gbps(bytes float64, secs float64) string {
-	if secs <= 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2f", bytes/secs/1e9)
-}

@@ -34,40 +34,40 @@ func mustType(dt *mpi.Datatype, err error) *mpi.Datatype {
 // UNION is the geometric union (bounding box) of rectangles — the operator
 // the paper uses to derive global grid dimensions from per-process MBRs.
 var (
-	OpRectUnion = mpi.OpCreate("MPI_UNION", true, rectFold(func(a, b geom.Envelope) geom.Envelope {
+	OpRectUnion = mpi.OpCreate("MPI_UNION", rectFold(func(a, b geom.Envelope) geom.Envelope {
 		return a.Union(b)
 	}))
-	OpRectMin = mpi.OpCreate("MPI_MIN(rect)", true, rectFold(func(a, b geom.Envelope) geom.Envelope {
+	OpRectMin = mpi.OpCreate("MPI_MIN(rect)", rectFold(func(a, b geom.Envelope) geom.Envelope {
 		if a.Area() <= b.Area() {
 			return a
 		}
 		return b
 	}))
-	OpRectMax = mpi.OpCreate("MPI_MAX(rect)", true, rectFold(func(a, b geom.Envelope) geom.Envelope {
+	OpRectMax = mpi.OpCreate("MPI_MAX(rect)", rectFold(func(a, b geom.Envelope) geom.Envelope {
 		if a.Area() >= b.Area() {
 			return a
 		}
 		return b
 	}))
-	OpPointMin = mpi.OpCreate("MPI_MIN(point)", true, pointFold(func(a, b geom.Point) geom.Point {
+	OpPointMin = mpi.OpCreate("MPI_MIN(point)", pointFold(func(a, b geom.Point) geom.Point {
 		if a.X < b.X || (a.X == b.X && a.Y <= b.Y) {
 			return a
 		}
 		return b
 	}))
-	OpPointMax = mpi.OpCreate("MPI_MAX(point)", true, pointFold(func(a, b geom.Point) geom.Point {
+	OpPointMax = mpi.OpCreate("MPI_MAX(point)", pointFold(func(a, b geom.Point) geom.Point {
 		if a.X > b.X || (a.X == b.X && a.Y >= b.Y) {
 			return a
 		}
 		return b
 	}))
-	OpLineMin = mpi.OpCreate("MPI_MIN(line)", true, lineFold(func(a, b [2]geom.Point) [2]geom.Point {
+	OpLineMin = mpi.OpCreate("MPI_MIN(line)", lineFold(func(a, b [2]geom.Point) [2]geom.Point {
 		if segLen(a) <= segLen(b) {
 			return a
 		}
 		return b
 	}))
-	OpLineMax = mpi.OpCreate("MPI_MAX(line)", true, lineFold(func(a, b [2]geom.Point) [2]geom.Point {
+	OpLineMax = mpi.OpCreate("MPI_MAX(line)", lineFold(func(a, b [2]geom.Point) [2]geom.Point {
 		if segLen(a) >= segLen(b) {
 			return a
 		}

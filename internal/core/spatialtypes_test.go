@@ -22,8 +22,8 @@ func TestSpatialDatatypeSizes(t *testing.T) {
 	if RectType.Size() != 32 {
 		t.Errorf("MPI_RECT size = %d", RectType.Size())
 	}
-	if !RectType.Contiguous() {
-		t.Error("MPI_RECT must be contiguous (4 doubles)")
+	if b := RectType.Blocks(); len(b) != 1 || b[0] != (mpi.Block{Off: 0, Len: 32}) {
+		t.Errorf("MPI_RECT must be one dense run of 4 doubles, got %v", b)
 	}
 }
 

@@ -215,6 +215,8 @@ type Plan struct {
 // New compiles the plan into an injector. Each call returns a fresh
 // injector with zeroed fire counters, so a retried run replays the plan
 // from the beginning.
+//
+//vet:allow deadcode — the fault-injection entry point the facade documents (vectorio.FaultPlan.New); the chaos tests compile every plan through it
 func (p Plan) New() *Injector {
 	return &Injector{
 		seed:  uint64(p.Seed),
@@ -303,6 +305,8 @@ func (in *Injector) Decide(op mpi.FaultOp) mpi.FaultDecision {
 }
 
 // ReadFault is the pfs data-path hook (pass to pfs.FS.InjectReadFault).
+//
+//vet:allow deadcode — fault hook: the chaos tests install it with pfs.FS.InjectReadFault
 func (in *Injector) ReadFault(file string, off int64, n, stripe int) pfs.ReadFault {
 	for i, r := range in.rules {
 		switch r.Kind {
@@ -368,6 +372,8 @@ func (in *Injector) FrameFault(rank int) func(phase, src int, part []byte) {
 
 // SinkFault decides whether the sink on rank fails at the given batch (wire
 // into the pipeline's sink wrapper).
+//
+//vet:allow deadcode — fault hook: the chaos tests wire it into their sink wrapper
 func (in *Injector) SinkFault(rank, batch int) error {
 	for i, r := range in.rules {
 		if r.Kind != SinkError {

@@ -60,20 +60,6 @@ func (e Envelope) Union(o Envelope) Envelope {
 	}
 }
 
-// Intersection returns the overlapping region (possibly empty).
-func (e Envelope) Intersection(o Envelope) Envelope {
-	r := Envelope{
-		MinX: math.Max(e.MinX, o.MinX),
-		MinY: math.Max(e.MinY, o.MinY),
-		MaxX: math.Min(e.MaxX, o.MaxX),
-		MaxY: math.Min(e.MaxY, o.MaxY),
-	}
-	if r.IsEmpty() {
-		return EmptyEnvelope()
-	}
-	return r
-}
-
 // Intersects reports whether the two envelopes share any point (boundary
 // contact counts, matching the OGC intersects predicate used by the filter
 // phase).
@@ -83,15 +69,6 @@ func (e Envelope) Intersects(o Envelope) bool {
 	}
 	return e.MinX <= o.MaxX && o.MinX <= e.MaxX &&
 		e.MinY <= o.MaxY && o.MinY <= e.MaxY
-}
-
-// Contains reports whether o lies entirely inside e (boundaries included).
-func (e Envelope) Contains(o Envelope) bool {
-	if e.IsEmpty() || o.IsEmpty() {
-		return false
-	}
-	return e.MinX <= o.MinX && o.MaxX <= e.MaxX &&
-		e.MinY <= o.MinY && o.MaxY <= e.MaxY
 }
 
 // ContainsPoint reports whether (x,y) lies inside or on the boundary of e.

@@ -51,9 +51,6 @@ func NewHistogram(env geom.Envelope, side int) (*Histogram, error) {
 // Env returns the world envelope the bins tile.
 func (h *Histogram) Env() geom.Envelope { return h.env }
 
-// Side returns the bin count per axis.
-func (h *Histogram) Side() int { return h.side }
-
 // Add accumulates weight w into the bin holding e's center, clamping
 // centers outside the world to the border bins.
 func (h *Histogram) Add(e geom.Envelope, w float64) {

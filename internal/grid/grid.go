@@ -53,9 +53,6 @@ func New(env geom.Envelope, cols, rows int) (*Grid, error) {
 // Env returns the world envelope.
 func (g *Grid) Env() geom.Envelope { return g.env }
 
-// Cols returns the number of columns.
-func (g *Grid) Cols() int { return g.cols }
-
 // Rows returns the number of rows.
 func (g *Grid) Rows() int { return g.rows }
 
@@ -194,16 +191,3 @@ func (ci *CellIndex) CellsFor(e geom.Envelope) []int {
 // RoundRobin is the default cell-to-rank mapping (§4.2.3): cell k belongs
 // to rank k mod size.
 func RoundRobin(cell, size int) int { return cell % size }
-
-// BlockMapping assigns contiguous runs of cells to ranks — the contrast
-// case of Figure 5a (coarse spatial partitioning, poor balance under skew).
-func BlockMapping(numCells int) func(cell, size int) int {
-	return func(cell, size int) int {
-		per := (numCells + size - 1) / size
-		r := cell / per
-		if r >= size {
-			r = size - 1
-		}
-		return r
-	}
-}

@@ -179,8 +179,7 @@ func TestReplicationInvariant(t *testing.T) {
 			if inSet[c] {
 				continue
 			}
-			inter := g.CellEnv(c).Intersection(e)
-			if !inter.IsEmpty() && inter.Area() > 0 {
+			if intersection(g.CellEnv(c), e).Area() > 0 {
 				t.Fatalf("cell %d overlaps %+v but is not in replication set", c, e)
 			}
 		}
@@ -226,6 +225,17 @@ func TestCellAtBoundaryConsistency(t *testing.T) {
 	}
 }
 
+// intersection is the overlap region of two envelopes (empty when
+// disjoint): the oracle the replication set and the reference cell are
+// checked against.
+func intersection(a, b geom.Envelope) geom.Envelope {
+	r := geom.Envelope{MinX: max(a.MinX, b.MinX), MinY: max(a.MinY, b.MinY), MaxX: min(a.MaxX, b.MaxX), MaxY: min(a.MaxY, b.MaxY)}
+	if r.IsEmpty() {
+		return geom.EmptyEnvelope()
+	}
+	return r
+}
+
 // TestPairRefCell pins the duplicate-avoidance reference cell of a
 // candidate pair: identical to the historical RefCell(Intersection) rule
 // for genuinely overlapping pairs, and well-defined — a deterministic
@@ -237,7 +247,7 @@ func TestPairRefCell(t *testing.T) {
 	// Overlapping pair: bitwise the same cell as the Intersection-based rule.
 	a := geom.Envelope{MinX: 8, MinY: 8, MaxX: 22, MaxY: 12}
 	b := geom.Envelope{MinX: 15, MinY: 5, MaxX: 30, MaxY: 9}
-	if got, want := PairRefCell(g, a, b), g.RefCell(a.Intersection(b)); got != want {
+	if got, want := PairRefCell(g, a, b), g.RefCell(intersection(a, b)); got != want {
 		t.Errorf("overlapping pair: PairRefCell = %d, RefCell(Intersection) = %d", got, want)
 	}
 
@@ -272,17 +282,5 @@ func TestPairRefCell(t *testing.T) {
 func TestMappings(t *testing.T) {
 	if RoundRobin(7, 4) != 3 || RoundRobin(8, 4) != 0 {
 		t.Error("round robin mapping wrong")
-	}
-	bm := BlockMapping(10)
-	// 10 cells over 4 ranks: 3 cells per rank (ceil), last rank gets one.
-	wants := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3}
-	for c, want := range wants {
-		if got := bm(c, 4); got != want {
-			t.Errorf("block mapping cell %d = %d, want %d", c, got, want)
-		}
-	}
-	// Never exceeds size-1.
-	if bm(9, 2) != 1 {
-		t.Errorf("block mapping overflow: %d", bm(9, 2))
 	}
 }

@@ -1,9 +1,19 @@
 package mpi
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 )
+
+// dense is the single run covering the whole extent.
+func dense(dt *Datatype) []Block { return []Block{{0, dt.Extent()}} }
+
+func checkBlocks(t *testing.T, dt *Datatype, want []Block) {
+	t.Helper()
+	if got := dt.Blocks(); !slices.Equal(got, want) {
+		t.Errorf("%s blocks = %v, want %v", dt.Name(), got, want)
+	}
+}
 
 func TestPredefinedTypes(t *testing.T) {
 	cases := []struct {
@@ -16,9 +26,7 @@ func TestPredefinedTypes(t *testing.T) {
 		if c.dt.Size() != c.size || c.dt.Extent() != c.size {
 			t.Errorf("%s: size=%d extent=%d, want %d", c.dt.Name(), c.dt.Size(), c.dt.Extent(), c.size)
 		}
-		if !c.dt.Contiguous() {
-			t.Errorf("%s should be contiguous", c.dt.Name())
-		}
+		checkBlocks(t, c.dt, dense(c.dt))
 	}
 }
 
@@ -31,12 +39,8 @@ func TestTypeContiguous(t *testing.T) {
 	if rect.Size() != 32 || rect.Extent() != 32 {
 		t.Errorf("rect size=%d extent=%d", rect.Size(), rect.Extent())
 	}
-	if !rect.Contiguous() {
-		t.Error("contiguous of dense base must be dense (single block)")
-	}
-	if len(rect.Blocks()) != 1 {
-		t.Errorf("blocks = %d, want coalesced 1", len(rect.Blocks()))
-	}
+	// Contiguous of a dense base coalesces to one dense block.
+	checkBlocks(t, rect, dense(rect))
 	if _, err := TypeContiguous(-1, Float64); err == nil {
 		t.Error("negative count accepted")
 	}
@@ -55,53 +59,10 @@ func TestTypeVector(t *testing.T) {
 	if col.Extent() != (3*3+1)*8 {
 		t.Errorf("extent = %d, want %d", col.Extent(), (3*3+1)*8)
 	}
-	if col.Contiguous() {
-		t.Error("strided vector must not be contiguous")
-	}
-	if len(col.Blocks()) != 4 {
-		t.Errorf("blocks = %d", len(col.Blocks()))
-	}
+	// Column 0 of the matrix: doubles 0, 3, 6 and 9.
+	checkBlocks(t, col, []Block{{0, 8}, {24, 8}, {48, 8}, {72, 8}})
 	if _, err := TypeVector(2, 3, 1, Float64); err == nil {
 		t.Error("stride < blockLen accepted")
-	}
-}
-
-func TestTypeVectorPackUnpack(t *testing.T) {
-	col, err := TypeVector(4, 1, 3, Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Matrix of 12 doubles; column 0 elements are at 0, 3, 6, 9.
-	src := make([]byte, 12*8)
-	for i := 0; i < 12; i++ {
-		src[i*8] = byte(i + 1) // tag each double by first byte
-	}
-	packed := make([]byte, col.Size())
-	n, err := col.Pack(packed, src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 32 {
-		t.Errorf("packed %d bytes", n)
-	}
-	for i, want := range []byte{1, 4, 7, 10} {
-		if packed[i*8] != want {
-			t.Errorf("packed element %d tag = %d, want %d", i, packed[i*8], want)
-		}
-	}
-	// Unpack back into a zeroed matrix: only the column cells are written.
-	dst := make([]byte, 12*8)
-	if _, err := col.Unpack(dst, packed, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		want := byte(0)
-		if i%3 == 0 {
-			want = byte(i + 1)
-		}
-		if dst[i*8] != want {
-			t.Errorf("unpacked cell %d tag = %d, want %d", i, dst[i*8], want)
-		}
 	}
 }
 
@@ -119,20 +80,8 @@ func TestTypeIndexed(t *testing.T) {
 	if dt.Extent() != 10*8 {
 		t.Errorf("extent = %d", dt.Extent())
 	}
-	src := make([]byte, 10*8)
-	for i := 0; i < 10; i++ {
-		src[i*8] = byte(i + 1)
-	}
-	packed := make([]byte, dt.Size())
-	if _, err := dt.Pack(packed, src, 1); err != nil {
-		t.Fatal(err)
-	}
-	wantTags := []byte{1, 2, 3, 6, 9, 10}
-	for i, want := range wantTags {
-		if packed[i*8] != want {
-			t.Errorf("element %d tag = %d, want %d", i, packed[i*8], want)
-		}
-	}
+	// Doubles 0-2, 5 and 8-9.
+	checkBlocks(t, dt, []Block{{0, 24}, {40, 8}, {64, 16}})
 	if _, err := TypeIndexed([]int{1}, []int{1, 2}, Float64); err == nil {
 		t.Error("mismatched arrays accepted")
 	}
@@ -157,79 +106,10 @@ func TestTypeStruct(t *testing.T) {
 	if dt.Extent() != 24 {
 		t.Errorf("extent = %d, want 24", dt.Extent())
 	}
-	src := make([]byte, 48)
-	for i := range src {
-		src[i] = byte(i)
-	}
-	packed := make([]byte, 40)
-	if _, err := dt.Pack(packed, src, 2); err != nil {
-		t.Fatal(err)
-	}
-	// First instance: bytes 0-3 and 8-23. Second: 24-27 and 32-47.
-	want := append(append([]byte{0, 1, 2, 3}, src[8:24]...), append([]byte{24, 25, 26, 27}, src[32:48]...)...)
-	if !bytes.Equal(packed, want) {
-		t.Errorf("struct pack mismatch:\n got %v\nwant %v", packed, want)
-	}
-	// Round trip.
-	dst := make([]byte, 48)
-	if _, err := dt.Unpack(dst, packed, 2); err != nil {
-		t.Fatal(err)
-	}
-	for _, off := range []int{0, 8, 24, 32} {
-		if dst[off] != src[off] {
-			t.Errorf("unpack lost byte at %d", off)
-		}
-	}
-	// Padding bytes stay zero.
-	if dst[4] != 0 || dst[28] != 0 {
-		t.Error("unpack wrote into padding")
-	}
+	// Bytes 0-3 and 8-23; the padding at 4-7 and 24 is not data.
+	checkBlocks(t, dt, []Block{{0, 4}, {8, 16}})
 	if _, err := TypeStruct([]StructField{{Offset: 0, Count: 1, Type: Float64}}, 4); err == nil {
 		t.Error("extent smaller than fields accepted")
-	}
-}
-
-func TestPackUnpackRoundTripMultiCount(t *testing.T) {
-	dt, err := TypeVector(2, 2, 3, Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 3
-	src := make([]byte, dt.spanBytes(count))
-	for i := range src {
-		src[i] = byte(i % 251)
-	}
-	packed := make([]byte, count*dt.Size())
-	if _, err := dt.Pack(packed, src, count); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]byte, len(src))
-	if _, err := dt.Unpack(dst, packed, count); err != nil {
-		t.Fatal(err)
-	}
-	// Re-pack from the unpacked buffer: must equal the first packing.
-	packed2 := make([]byte, len(packed))
-	if _, err := dt.Pack(packed2, dst, count); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(packed, packed2) {
-		t.Error("pack/unpack/pack not idempotent")
-	}
-}
-
-func TestPackBufferValidation(t *testing.T) {
-	dt, _ := TypeContiguous(4, Float64)
-	if _, err := dt.Pack(make([]byte, 8), make([]byte, 32), 1); err == nil {
-		t.Error("short dst accepted")
-	}
-	if _, err := dt.Pack(make([]byte, 32), make([]byte, 8), 1); err == nil {
-		t.Error("short src accepted")
-	}
-	if _, err := dt.Unpack(make([]byte, 8), make([]byte, 32), 1); err == nil {
-		t.Error("short unpack dst accepted")
-	}
-	if _, err := dt.Unpack(make([]byte, 32), make([]byte, 8), 1); err == nil {
-		t.Error("short unpack src accepted")
 	}
 }
 
@@ -244,7 +124,8 @@ func TestNestedTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tri.Size() != 48 || !tri.Contiguous() {
-		t.Errorf("nested type size=%d contiguous=%v", tri.Size(), tri.Contiguous())
+	if tri.Size() != 48 {
+		t.Errorf("nested type size=%d", tri.Size())
 	}
+	checkBlocks(t, tri, dense(tri))
 }

@@ -2,10 +2,9 @@
 // stand-in for the MPI library (Open MPI / MPICH) the paper builds on. It
 // runs an SPMD program with one goroutine per rank and provides the MPI
 // feature set MPI-Vector-IO uses: blocking point-to-point with tag/source
-// matching and eager/rendezvous protocols, Probe/Get_count, the collective
-// set (Barrier, Bcast, Gather(v), Allgather(v), Scatter, Alltoall(v),
-// Reduce, Allreduce, Scan), derived datatypes, and user-defined reduction
-// operators (MPI_Op_create).
+// matching and eager/rendezvous protocols, Probe, the collective set
+// (Barrier, Bcast, Allgather(v), Alltoallv, Reduce, Allreduce, Scan),
+// derived datatypes, and user-defined reduction operators (MPI_Op_create).
 //
 // Collectives are implemented on top of point-to-point with the textbook
 // algorithms (binomial trees, dissemination barrier, pairwise exchange,

@@ -12,23 +12,19 @@ import (
 // operators may be non-commutative but must be associative (paper §4.2.2),
 // and the reduction trees below preserve rank order.
 type Op struct {
-	name        string
-	commutative bool
-	fn          func(in, inout []byte, count int, dt *Datatype) error
+	name string
+	fn   func(in, inout []byte, count int, dt *Datatype) error
 }
 
 // OpCreate registers a user-defined reduction operator, the equivalent of
 // MPI_Op_create. The paper defines MPI_UNION this way for geometric union
 // of MBRs.
-func OpCreate(name string, commutative bool, fn func(in, inout []byte, count int, dt *Datatype) error) *Op {
-	return &Op{name: name, commutative: commutative, fn: fn}
+func OpCreate(name string, fn func(in, inout []byte, count int, dt *Datatype) error) *Op {
+	return &Op{name: name, fn: fn}
 }
 
 // Name returns the operator's display name.
 func (o *Op) Name() string { return o.name }
-
-// Commutative reports whether operand order is irrelevant.
-func (o *Op) Commutative() bool { return o.commutative }
 
 // apply runs the operator and charges the modeled combine cost. A failing
 // operator aborts the world — the MPI_ERRORS_ARE_FATAL default — because a
@@ -57,7 +53,7 @@ func (o *Op) validate(dt *Datatype) error {
 // numericOp builds an operator applying a float64 fold element-wise; it
 // requires the Float64 datatype.
 func numericOp(name string, fold func(a, b float64) float64) *Op {
-	return OpCreate(name, true, func(in, inout []byte, count int, dt *Datatype) error {
+	return OpCreate(name, func(in, inout []byte, count int, dt *Datatype) error {
 		if dt.Size() != 8 {
 			return fmt.Errorf("operator %s requires a doubled-sized type, got %s", name, dt.Name())
 		}
@@ -78,7 +74,7 @@ var (
 )
 
 // OpSumInt64 folds int64 buffers element-wise.
-var OpSumInt64 = OpCreate("MPI_SUM_INT64", true, func(in, inout []byte, count int, dt *Datatype) error {
+var OpSumInt64 = OpCreate("MPI_SUM_INT64", func(in, inout []byte, count int, dt *Datatype) error {
 	if dt.Size() != 8 {
 		return fmt.Errorf("MPI_SUM_INT64 requires an 8-byte type, got %s", dt.Name())
 	}

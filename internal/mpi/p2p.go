@@ -12,23 +12,8 @@ import (
 type Status struct {
 	Source int
 	Tag    int
-	// Count is the message payload size in bytes (use GetCount for typed
-	// element counts, as with MPI_Get_count).
+	// Count is the message payload size in bytes.
 	Count int
-}
-
-// GetCount returns how many elements of datatype dt the message carried,
-// the equivalent of MPI_Get_count. It errors if the byte count is not a
-// whole number of elements.
-func (s Status) GetCount(dt *Datatype) (int, error) {
-	if dt.Size() == 0 {
-		return 0, fmt.Errorf("mpi: zero-size datatype in GetCount")
-	}
-	if s.Count%dt.Size() != 0 {
-		return 0, fmt.Errorf("mpi: message size %d is not a multiple of %s (%d bytes)",
-			s.Count, dt.Name(), dt.Size())
-	}
-	return s.Count / dt.Size(), nil
 }
 
 // Send transmits buf to rank dst with the given tag. Messages up to the

@@ -6,90 +6,6 @@ import (
 	"repro/internal/pfs"
 )
 
-// WriteAtAll is the collective explicit-offset write MPI_File_write_at_all
-// (the output side of §4.1): two-phase I/O in which every rank ships its
-// data to the stripe-cyclic aggregators, which assemble their file-domain
-// slices and perform the physical writes. Every rank of the communicator
-// must call it; ranks with nothing to write pass an empty buffer. Ranks'
-// write ranges must not overlap (the usual MPI contract for consistent
-// collective writes).
-func (f *File) WriteAtAll(buf []byte, off int64) (int, error) {
-	if err := f.checkLimit(len(buf)); err != nil {
-		return 0, err
-	}
-	myReq := span{off: off, length: int64(len(buf))}
-	planAny, err := f.comm.WorldSync("mpiio.collw:"+f.pf.Name(), myReq, func(inputs []any) []any {
-		reqs := make([]span, len(inputs))
-		for i, in := range inputs {
-			reqs[i] = in.(span)
-		}
-		plan := f.buildWritePlan(reqs)
-		outs := make([]any, len(inputs))
-		for i := range outs {
-			outs[i] = plan
-		}
-		return outs
-	})
-	if err != nil {
-		return 0, err
-	}
-	plan := planAny.(*readPlan)
-	if plan.err != nil {
-		return 0, plan.err
-	}
-	rank := f.comm.Rank()
-	myAgg := plan.aggIndex(rank)
-	nRanks := f.comm.Size()
-
-	for c := 0; c < plan.cycles; c++ {
-		// Phase 1: every rank sends each aggregator the piece of its buffer
-		// overlapping that aggregator's cycle slice.
-		send := make([][]byte, nRanks)
-		for k, ar := range plan.aggRanks {
-			sl := plan.cycleSlice(k, c)
-			ov := sl.overlap(plan.reqs[rank])
-			if ov.length > 0 {
-				send[ar] = append(send[ar], buf[ov.off-off:ov.off-off+ov.length]...)
-			}
-		}
-		// Aggregators expect pieces from every rank whose request overlaps
-		// their slice.
-		recvSizes := make([]int, nRanks)
-		if myAgg >= 0 {
-			sl := plan.cycleSlice(myAgg, c)
-			for r := 0; r < nRanks; r++ {
-				recvSizes[r] = int(sl.overlap(plan.reqs[r]).length)
-			}
-		}
-		//vet:allow collective — an aggregator whose WriteAt failed cannot accept the next cycle's pieces; its early return is best-effort teardown and the world abort releases the peers with ErrAborted
-		parts, aerr := f.comm.Alltoallv(send, recvSizes)
-		if aerr != nil {
-			return 0, aerr
-		}
-		// Phase 2: aggregators assemble and write their slice,
-		// read-modify-write where the ranks' requests leave holes (ROMIO's
-		// data-sieving write).
-		if myAgg >= 0 {
-			sl := plan.cycleSlice(myAgg, c)
-			if sl.length > 0 {
-				data := make([]byte, sl.length)
-				f.pf.ReadAt(data, sl.off) // best-effort prefill; EOF leaves zeros
-				for r := 0; r < nRanks; r++ {
-					ov := sl.overlap(plan.reqs[r])
-					if ov.length > 0 {
-						copy(data[ov.off-sl.off:], parts[r][:ov.length])
-					}
-				}
-				if _, werr := f.pf.WriteAt(data, sl.off); werr != nil {
-					return 0, werr
-				}
-				f.comm.Compute(plan.aggTime[c][myAgg])
-			}
-		}
-	}
-	return len(buf), nil
-}
-
 // buildWritePlan reuses the stripe-cyclic domain machinery of reads; the
 // file need not contain the target range yet, so the plan is built without
 // EOF clamping.
@@ -171,10 +87,15 @@ func (f *File) buildWritePlan(reqs []span) *readPlan {
 	return p
 }
 
-// WriteViewAll is the non-contiguous collective write (the Figure 4 output
-// pattern: distributed data written to one file in global layout order):
-// each rank writes len(buf) visible bytes of its view starting at visible
-// offset viewOff. The view pieces of all ranks must not overlap.
+// WriteViewAll is the collective write (the output side of §4.1 and the
+// Figure 4 pattern: distributed data written to one file in global layout
+// order): each rank writes len(buf) visible bytes of its view starting at
+// visible offset viewOff; without a view, visible offsets are file
+// offsets. Two-phase I/O: every rank ships its pieces to the stripe-cyclic
+// aggregators, which assemble their file-domain slices (read-modify-write
+// where the ranks leave holes) and perform the physical writes. Every rank
+// of the communicator must call it; ranks with nothing to write pass an
+// empty buffer. The view pieces of all ranks must not overlap.
 func (f *File) WriteViewAll(buf []byte, viewOff int64) (int, error) {
 	if err := f.checkLimit(len(buf)); err != nil {
 		return 0, err
@@ -196,7 +117,7 @@ func (f *File) WriteViewAll(buf []byte, viewOff int64) (int, error) {
 		totalRanges += len(allRanges[i])
 	}
 
-	// Hull per rank feeds the same write plan as WriteAtAll.
+	// Each rank's hull feeds the stripe-cyclic two-phase write plan.
 	hull := func(rs []span) span {
 		if len(rs) == 0 {
 			return span{}

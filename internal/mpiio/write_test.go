@@ -25,8 +25,9 @@ func newTestFile(t *testing.T, params pfs.Params, stripeCount int, stripeSize in
 	return f
 }
 
-// TestWriteAtAllRoundTrip: a collective write by equal partitions must
-// produce exactly the sequential concatenation.
+// TestWriteAtAllRoundTrip: MPI_File_write_at_all is WriteViewAll without
+// a view; a collective write by equal partitions must produce exactly the
+// sequential concatenation.
 func TestWriteAtAllRoundTrip(t *testing.T) {
 	for _, ranks := range []int{1, 3, 5, 8} {
 		pf := newTestFile(t, pfs.CometLustre(), 4, 4096)
@@ -37,7 +38,7 @@ func TestWriteAtAllRoundTrip(t *testing.T) {
 			for i := range buf {
 				buf[i] = byte(c.Rank()*31 + i)
 			}
-			_, err := f.WriteAtAll(buf, int64(c.Rank())*per)
+			_, err := f.WriteViewAll(buf, int64(c.Rank())*per)
 			return err
 		})
 		if err != nil {
@@ -58,8 +59,9 @@ func TestWriteAtAllRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteAtAllPreservesUntouchedBytes: writing a sub-range must leave
-// surrounding content intact (read-modify-write at the aggregators).
+// TestWriteAtAllPreservesUntouchedBytes: writing a sub-range at an
+// explicit offset must leave surrounding content intact
+// (read-modify-write at the aggregators).
 func TestWriteAtAllPreservesUntouchedBytes(t *testing.T) {
 	pf := newTestFile(t, pfs.RogerGPFS(), 0, 0)
 	orig := make([]byte, 50_000)
@@ -77,7 +79,7 @@ func TestWriteAtAllPreservesUntouchedBytes(t *testing.T) {
 			buf = bytes.Repeat([]byte{0xAA}, 1000)
 			off = 20_000
 		}
-		_, err := f.WriteAtAll(buf, off)
+		_, err := f.WriteViewAll(buf, off)
 		return err
 	})
 	if err != nil {
@@ -195,7 +197,7 @@ func TestWriteAtAllROMIOLimit(t *testing.T) {
 	err := mpi.Run(cluster.Local(2), func(c *mpi.Comm) error {
 		f := Open(c, pf, Hints{})
 		buf := make([]byte, 1024) // 4 GB virtual
-		_, err := f.WriteAtAll(buf, 0)
+		_, err := f.WriteViewAll(buf, 0)
 		if c.Rank() == 0 && err == nil {
 			t.Error("expected ROMIO limit error")
 		}

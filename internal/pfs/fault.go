@@ -26,6 +26,8 @@ type ReadFaultHook func(file string, off int64, n, stripe int) ReadFault
 // InjectReadFault installs a hook consulted on every File.ReadAt data-path
 // read (distinct from InjectFault, which guards the timing model). Pass nil
 // to clear. The disabled path costs one atomic load per read.
+//
+//vet:allow deadcode — fault hook: installed by the chaos and fault-injection tests; the program never installs one
 func (fs *FS) InjectReadFault(hook ReadFaultHook) {
 	if hook == nil {
 		fs.readFault.Store(nil)

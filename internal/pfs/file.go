@@ -25,6 +25,8 @@ type File struct {
 func (f *File) Name() string { return f.name }
 
 // FS returns the filesystem holding f.
+//
+//vet:allow deadcode — fault hook access: the chaos tests reach a fixture file's filesystem through it to install read faults
 func (f *File) FS() *FS { return f.fs }
 
 // Params returns the cost-model constants of the filesystem holding f.
@@ -241,20 +243,4 @@ func (f *File) ReadTime(r Request) (float64, error) {
 		return 0, err
 	}
 	return d[0], nil
-}
-
-// SeqTime models one process streaming [off, off+length) sequentially —
-// the Table 3 baseline of reading a whole file with a serial library.
-func (f *File) SeqTime(off, length int64) float64 {
-	p := f.fs.params
-	virt := float64(length) * f.scale
-	clientRate := p.ClientRateMax * virt / (virt + p.ClientHalfBlock)
-	if length <= 0 {
-		return 0
-	}
-	// A lone sequential reader is client-bound: the OSTs can stream one
-	// request each at full rate. Chunk (RPC) counts follow the virtual
-	// stripe layout.
-	chunkCount := float64((f.virt(length) + f.stripeSize - 1) / f.stripeSize)
-	return p.RequestOverhead + virt/clientRate + chunkCount*p.ChunkLatency
 }

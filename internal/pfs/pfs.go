@@ -162,7 +162,6 @@ type FS struct {
 	params Params
 
 	mu    sync.Mutex
-	files map[string]*File
 	fault func(Request) error
 
 	// readFault guards the data path (File.ReadAt); see InjectReadFault.
@@ -174,7 +173,7 @@ func New(params Params) (*FS, error) {
 	if params.OSTs <= 0 || params.OSTBandwidth <= 0 || params.ClientRateMax <= 0 {
 		return nil, fmt.Errorf("pfs: invalid parameters for %q", params.Name)
 	}
-	return &FS{params: params, files: make(map[string]*File)}, nil
+	return &FS{params: params}, nil
 }
 
 // Params returns the filesystem's cost-model constants.
@@ -183,13 +182,15 @@ func (fs *FS) Params() Params { return fs.params }
 // InjectFault installs a hook consulted on every modeled read; a non-nil
 // return fails that read. Used by failure-injection tests. Pass nil to
 // clear.
+//
+//vet:allow deadcode — fault hook: installed by the pfs fault-injection tests; the program never installs one
 func (fs *FS) InjectFault(hook func(Request) error) {
 	fs.mu.Lock()
 	fs.fault = hook
 	fs.mu.Unlock()
 }
 
-// Create makes (or truncates) a file with explicit striping. stripeSize is
+// Create makes an empty file with explicit striping. stripeSize is
 // in virtual (full-scale) bytes — identical to real bytes until SetScale
 // declares otherwise. On GPFS and NFS user striping is ignored, as on the
 // real systems.
@@ -207,26 +208,11 @@ func (fs *FS) Create(name string, stripeCount int, stripeSize int64) (*File, err
 	if stripeSize <= 0 {
 		stripeSize = p.DefaultStripeSize
 	}
-	f := &File{
+	return &File{
 		fs:          fs,
 		name:        name,
 		stripeCount: stripeCount,
 		stripeSize:  stripeSize,
 		scale:       1,
-	}
-	fs.mu.Lock()
-	fs.files[name] = f
-	fs.mu.Unlock()
-	return f, nil
-}
-
-// Open returns a previously created file.
-func (fs *FS) Open(name string) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("pfs: file %q does not exist", name)
-	}
-	return f, nil
+	}, nil
 }

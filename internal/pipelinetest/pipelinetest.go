@@ -143,6 +143,8 @@ type Result struct {
 // self-contained collective pass over the file, so every mode reads the
 // file exactly twice and the final clocks are comparable). Any error fails
 // the test; chaos runs that expect errors use RunE instead.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func Run(t *testing.T, cfg Config, mode Mode) *Result {
 	t.Helper()
 	res, errs, worldErr := RunE(cfg, mode)
@@ -163,6 +165,8 @@ func Run(t *testing.T, cfg Config, mode Mode) *Result {
 // error), and worldErr is what mpi.RunOpt returned. On a fault-free run all
 // of them are nil and the Result is complete; after any error the Result is
 // partial and only the error observations are meaningful.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 	res := &Result{
 		Mode:           mode,
@@ -317,6 +321,8 @@ func RunE(cfg Config, mode Mode) (*Result, []error, error) {
 // The Result is directly comparable to a Materialized Run over the same
 // Config: same read output, same index, and (the point of the mode) served
 // answers and a final clock that must match the batch query bitwise.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func RunServe(t *testing.T, cfg Config, clients int) *Result {
 	t.Helper()
 	res, errs, worldErr := RunServeE(cfg, clients)
@@ -338,6 +344,8 @@ func RunServe(t *testing.T, cfg Config, clients int) *Result {
 // drained its share, releasing the ranks to replay their charges. If the
 // world dies before the service ever becomes ready, the deferred Close
 // releases any client still parked in Range.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func RunServeE(cfg Config, clients int) (*Result, []error, error) {
 	if clients < 1 {
 		clients = 1
@@ -513,6 +521,8 @@ func evalQueries(rank, size int, g grid.Partition, trees map[int]*rtree.Tree[geo
 }
 
 // RunAll executes the workload under every Mode.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func RunAll(t *testing.T, cfg Config) []*Result {
 	t.Helper()
 	out := make([]*Result, 0, len(Modes))
@@ -526,6 +536,8 @@ func RunAll(t *testing.T, cfg Config) []*Result {
 // got diverges from want. All comparisons are exact — the streamed
 // compositions charge the same costs at the same program points as the
 // materialized ones, so even the floating-point trajectories coincide.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func AssertEquivalent(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	pair := fmt.Sprintf("%s: %s vs %s", label, got.Mode, want.Mode)
@@ -599,6 +611,8 @@ func assertCellsEqual(t *testing.T, pair string, r int, gotCard, wantCard map[in
 // materialized reference), after checking the reference actually indexed
 // and matched something — an accidentally empty workload would otherwise
 // make every equivalence vacuous.
+//
+//vet:allow deadcode — test-support package: its entry points are called only from _test.go files
 func AssertAllEquivalent(t *testing.T, label string, results []*Result) {
 	t.Helper()
 	var indexed, pairs int64

@@ -1,22 +1,26 @@
+// Package quadtree decomposes a world envelope by the quadtree's
+// center-split rule (SW, SE, NW, NE) until a caller-supplied load measure
+// says every leaf is light enough: the space-partitioning use of the
+// quadtree behind the adaptive partitioner.
 package quadtree
 
 import "repro/internal/geom"
 
+// maxDepth bounds subdivision; 16 levels resolve ~1/65k of the root extent.
+const maxDepth = 16
+
 // SplitNode is one node of a weight-driven recursive decomposition built by
-// SplitWeighted: the space-partitioning (rather than item-storing) use of
-// the quadtree, where the tree's quadrant rule divides a world envelope
-// until a caller-supplied load measure says every leaf is light enough.
+// SplitWeighted.
 type SplitNode struct {
 	Bounds   geom.Envelope
 	Depth    int
 	Children *[4]*SplitNode // SW, SE, NW, NE; nil for a leaf
 }
 
-// SplitWeighted recursively subdivides bounds — with the same SW/SE/NW/NE
-// center-split rule the MX-CIF tree applies in subdivide — while
-// weigh(node bounds) exceeds limit. Subdivision always reaches minDepth
+// SplitWeighted recursively subdivides bounds with the SW/SE/NW/NE
+// center-split rule while weigh(node bounds) exceeds limit. Subdivision always reaches minDepth
 // (even through empty regions, so a caller can guarantee a leaf count) and
-// never exceeds maxSplit, which is clamped to the tree's own depth bound.
+// never exceeds maxSplit, which is clamped to the package depth bound.
 // The result is a pure, deterministic function of the arguments: ranks
 // passing identical weights build identical trees.
 func SplitWeighted(bounds geom.Envelope, weigh func(geom.Envelope) float64, limit float64, minDepth, maxSplit int) *SplitNode {

@@ -3,9 +3,8 @@
 // overlapping grid cells during spatial partitioning (§4), and once per grid
 // cell as the filter-phase index of the spatial join (§5.2).
 //
-// Two construction modes are offered, matching GEOS usage patterns:
-// incremental Insert with quadratic node splitting, and Sort-Tile-Recursive
-// (STR) bulk loading for build-once/query-many workloads.
+// Trees are built once with Sort-Tile-Recursive (STR) bulk loading and
+// then only queried: every index in the pipeline is build-once/query-many.
 package rtree
 
 import (
@@ -14,18 +13,14 @@ import (
 	"repro/internal/geom"
 )
 
-const (
-	defaultMaxEntries = 16
-	defaultMinEntries = 4
-)
+// maxEntries is the node fan-out.
+const maxEntries = 16
 
 // Tree is an R-tree mapping envelopes to values of type T.
-// The zero value is not usable; call New or BulkLoad.
+// The zero value is not usable; call BulkLoad.
 type Tree[T any] struct {
-	root       *node[T]
-	size       int
-	maxEntries int
-	minEntries int
+	root *node[T]
+	size int
 }
 
 // Item pairs an envelope with its value for bulk loading.
@@ -53,132 +48,8 @@ func (n *node[T]) envelope() geom.Envelope {
 	return e
 }
 
-// New returns an empty R-tree ready for Insert.
-func New[T any]() *Tree[T] {
-	return &Tree[T]{
-		root:       &node[T]{leaf: true},
-		maxEntries: defaultMaxEntries,
-		minEntries: defaultMinEntries,
-	}
-}
-
 // Len returns the number of stored items.
 func (t *Tree[T]) Len() int { return t.size }
-
-// Insert adds a value with the given envelope.
-func (t *Tree[T]) Insert(env geom.Envelope, value T) {
-	t.size++
-	leafEntry := entry[T]{env: env, value: value}
-	split := t.insert(t.root, leafEntry)
-	if split != nil {
-		// Root overflow: grow the tree by one level.
-		oldRoot := t.root
-		t.root = &node[T]{
-			leaf: false,
-			entries: []entry[T]{
-				{env: oldRoot.envelope(), child: oldRoot},
-				{env: split.envelope(), child: split},
-			},
-		}
-	}
-}
-
-// insert places e under n, returning a new sibling if n split.
-func (t *Tree[T]) insert(n *node[T], e entry[T]) *node[T] {
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
-		}
-		return nil
-	}
-	idx := chooseSubtree(n, e.env)
-	child := n.entries[idx].child
-	split := t.insert(child, e)
-	n.entries[idx].env = n.entries[idx].env.Union(e.env)
-	if split != nil {
-		n.entries = append(n.entries, entry[T]{env: split.envelope(), child: split})
-		// Recompute the resized child's envelope after the split moved
-		// entries out of it.
-		n.entries[idx].env = child.envelope()
-		if len(n.entries) > t.maxEntries {
-			return t.splitNode(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child whose envelope needs least enlargement,
-// breaking ties by smaller area (Guttman's ChooseLeaf).
-func chooseSubtree[T any](n *node[T], env geom.Envelope) int {
-	best := 0
-	bestEnlarge := enlargement(n.entries[0].env, env)
-	bestArea := n.entries[0].env.Area()
-	for i := 1; i < len(n.entries); i++ {
-		enl := enlargement(n.entries[i].env, env)
-		area := n.entries[i].env.Area()
-		if enl < bestEnlarge || (enl == bestEnlarge && area < bestArea) {
-			best, bestEnlarge, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
-func enlargement(e, add geom.Envelope) float64 {
-	return e.Union(add).Area() - e.Area()
-}
-
-// splitNode performs Guttman's quadratic split, moving roughly half the
-// entries of n into a returned new sibling.
-func (t *Tree[T]) splitNode(n *node[T]) *node[T] {
-	entries := n.entries
-	// Pick the two seeds wasting the most area if grouped together.
-	seedA, seedB := 0, 1
-	worst := -1.0
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].env.Union(entries[j].env).Area() -
-				entries[i].env.Area() - entries[j].env.Area()
-			if d > worst {
-				worst, seedA, seedB = d, i, j
-			}
-		}
-	}
-	groupA := []entry[T]{entries[seedA]}
-	groupB := []entry[T]{entries[seedB]}
-	envA, envB := entries[seedA].env, entries[seedB].env
-	rest := make([]entry[T], 0, len(entries)-2)
-	for i, e := range entries {
-		if i != seedA && i != seedB {
-			rest = append(rest, e)
-		}
-	}
-	for _, e := range rest {
-		// Force assignment when one group must take all remaining entries
-		// to reach the minimum fill.
-		switch {
-		case len(groupA)+len(rest) <= t.minEntries:
-			groupA = append(groupA, e)
-			envA = envA.Union(e.env)
-			continue
-		case len(groupB)+len(rest) <= t.minEntries:
-			groupB = append(groupB, e)
-			envB = envB.Union(e.env)
-			continue
-		}
-		da := enlargement(envA, e.env)
-		db := enlargement(envB, e.env)
-		if da < db || (da == db && envA.Area() <= envB.Area()) {
-			groupA = append(groupA, e)
-			envA = envA.Union(e.env)
-		} else {
-			groupB = append(groupB, e)
-			envB = envB.Union(e.env)
-		}
-	}
-	n.entries = groupA
-	return &node[T]{leaf: n.leaf, entries: groupB}
-}
 
 // Search visits every item whose envelope intersects query. The visitor
 // returns false to stop early; Search reports whether the walk ran to
@@ -237,20 +108,16 @@ func (t *Tree[T]) Height() int {
 // BulkLoad builds a tree from items using Sort-Tile-Recursive packing, which
 // yields near-optimal query performance for static data.
 func BulkLoad[T any](items []Item[T]) *Tree[T] {
-	t := New[T]()
 	if len(items) == 0 {
-		return t
+		return &Tree[T]{root: &node[T]{leaf: true}}
 	}
-	leaves := packLeaves(items, t.maxEntries)
-	t.size = len(items)
-	t.root = buildUp(leaves, t.maxEntries)
-	return t
+	return &Tree[T]{root: buildUp(packLeaves(items)), size: len(items)}
 }
 
 // packLeaves tiles the items into leaf nodes: sort by center X, cut into
 // vertical slabs of ~sqrt(nLeaves) leaves each, sort each slab by center Y,
 // pack runs of maxEntries.
-func packLeaves[T any](items []Item[T], maxEntries int) []*node[T] {
+func packLeaves[T any](items []Item[T]) []*node[T] {
 	sorted := make([]Item[T], len(items))
 	copy(sorted, items)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -280,7 +147,7 @@ func packLeaves[T any](items []Item[T], maxEntries int) []*node[T] {
 }
 
 // buildUp packs nodes level by level until a single root remains.
-func buildUp[T any](nodes []*node[T], maxEntries int) *node[T] {
+func buildUp[T any](nodes []*node[T]) *node[T] {
 	for len(nodes) > 1 {
 		var next []*node[T]
 		for start := 0; start < len(nodes); start += maxEntries {

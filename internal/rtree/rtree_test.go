@@ -34,7 +34,7 @@ func sortedQuery(t *Tree[int], q geom.Envelope) []int {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New[string]()
+	tr := BulkLoad[string](nil)
 	if tr.Len() != 0 {
 		t.Errorf("Len = %d", tr.Len())
 	}
@@ -46,51 +46,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 	if tr.Height() != 1 {
 		t.Errorf("empty tree height = %d", tr.Height())
-	}
-}
-
-func TestInsertAndQuerySmall(t *testing.T) {
-	tr := New[string]()
-	tr.Insert(geom.Envelope{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, "a")
-	tr.Insert(geom.Envelope{MinX: 10, MinY: 10, MaxX: 11, MaxY: 11}, "b")
-	tr.Insert(geom.Envelope{MinX: 0.5, MinY: 0.5, MaxX: 2, MaxY: 2}, "c")
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	got := tr.Query(geom.Envelope{MinX: 0.9, MinY: 0.9, MaxX: 1.5, MaxY: 1.5})
-	sort.Strings(got)
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Errorf("query = %v, want [a c]", got)
-	}
-	if n := len(tr.Query(geom.Envelope{MinX: 100, MinY: 100, MaxX: 101, MaxY: 101})); n != 0 {
-		t.Errorf("far query returned %d items", n)
-	}
-}
-
-func TestInsertMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	tr := New[int]()
-	var items []Item[int]
-	for i := 0; i < 2000; i++ {
-		e := randEnv(r)
-		items = append(items, Item[int]{Env: e, Value: i})
-		tr.Insert(e, i)
-	}
-	if tr.Len() != 2000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	for q := 0; q < 100; q++ {
-		query := randEnv(r).ExpandBy(30)
-		want := bruteQuery(items, query)
-		got := sortedQuery(tr, query)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d items, want %d", q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("query %d: item %d = %d, want %d", q, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -148,10 +103,11 @@ func TestBulkLoadSizes(t *testing.T) {
 }
 
 func TestSearchEarlyStop(t *testing.T) {
-	tr := New[int]()
-	for i := 0; i < 100; i++ {
-		tr.Insert(geom.Envelope{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, i)
+	items := make([]Item[int], 100)
+	for i := range items {
+		items[i] = Item[int]{Env: geom.Envelope{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, Value: i}
 	}
+	tr := BulkLoad(items)
 	count := 0
 	completed := tr.Search(geom.Envelope{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, func(_ geom.Envelope, _ int) bool {
 		count++
@@ -166,46 +122,45 @@ func TestSearchEarlyStop(t *testing.T) {
 }
 
 func TestTreeHeightGrows(t *testing.T) {
-	tr := New[int]()
-	for i := 0; i < 1000; i++ {
+	items := make([]Item[int], 1000)
+	for i := range items {
 		x := float64(i % 32)
 		y := float64(i / 32)
-		tr.Insert(geom.Envelope{MinX: x, MinY: y, MaxX: x + 0.5, MaxY: y + 0.5}, i)
+		items[i] = Item[int]{Env: geom.Envelope{MinX: x, MinY: y, MaxX: x + 0.5, MaxY: y + 0.5}, Value: i}
 	}
+	tr := BulkLoad(items)
 	if h := tr.Height(); h < 2 || h > 6 {
 		t.Errorf("height = %d, want a shallow multi-level tree", h)
 	}
-	// The root envelope must cover everything.
-	want := geom.Envelope{MinX: 0, MinY: 0, MaxX: 31.5, MaxY: 31.5 /* 1000/32 rows */}
-	if !tr.Envelope().Contains(want.Intersection(tr.Envelope())) {
-		t.Errorf("tree envelope %+v seems wrong", tr.Envelope())
+	// The root envelope is exactly the union of the items: 32 columns,
+	// and rows 0..31 (1000/32, the last one partial).
+	want := geom.Envelope{MinX: 0, MinY: 0, MaxX: 31.5, MaxY: 31.5}
+	if tr.Envelope() != want {
+		t.Errorf("tree envelope %+v, want %+v", tr.Envelope(), want)
 	}
 }
 
-// Property: for random item sets and queries, Insert-built and BulkLoad-built
-// trees agree with each other and with brute force.
+// Property: for random item sets and queries, BulkLoad-built trees agree
+// with brute force.
 func TestQueryEquivalenceProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(17))}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(300)
 		items := make([]Item[int], n)
-		ins := New[int]()
 		for i := range items {
 			items[i] = Item[int]{Env: randEnv(r), Value: i}
-			ins.Insert(items[i].Env, i)
 		}
 		bulk := BulkLoad(items)
 		for q := 0; q < 10; q++ {
 			query := randEnv(r).ExpandBy(float64(r.Intn(100)))
 			want := bruteQuery(items, query)
-			a := sortedQuery(ins, query)
-			b := sortedQuery(bulk, query)
-			if len(a) != len(want) || len(b) != len(want) {
+			got := sortedQuery(bulk, query)
+			if len(got) != len(want) {
 				return false
 			}
 			for i := range want {
-				if a[i] != want[i] || b[i] != want[i] {
+				if got[i] != want[i] {
 					return false
 				}
 			}
@@ -214,19 +169,6 @@ func TestQueryEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Errorf("query equivalence failed: %v", err)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	envs := make([]geom.Envelope, b.N)
-	for i := range envs {
-		envs[i] = randEnv(r)
-	}
-	b.ResetTimer()
-	tr := New[int]()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(envs[i], i)
 	}
 }
 

@@ -37,28 +37,9 @@ func cell(e, env geom.Envelope) (x, y uint32) {
 	return quantize(c.X, env.MinX, env.Width()), quantize(c.Y, env.MinY, env.Height())
 }
 
-// ZOrder returns the Morton (Z-order) index of e's center within env:
-// the bit-interleaving of the quantized x and y coordinates.
-func ZOrder(e, env geom.Envelope) uint64 {
-	x, y := cell(e, env)
-	return interleave(x) | interleave(y)<<1
-}
-
-// interleave spreads the low 32 bits of v so there is a zero bit between
-// every pair of consecutive bits (the standard Morton spreading).
-func interleave(v uint32) uint64 {
-	x := uint64(v)
-	x = (x | x<<16) & 0x0000FFFF0000FFFF
-	x = (x | x<<8) & 0x00FF00FF00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F0F0F0F0F
-	x = (x | x<<2) & 0x3333333333333333
-	x = (x | x<<1) & 0x5555555555555555
-	return x
-}
-
 // Hilbert returns the Hilbert-curve index of e's center within env. The
 // Hilbert curve preserves locality better than Z-order (no long diagonal
-// jumps), at the price of a slightly costlier transform.
+// jumps), which is why it is the curve used here.
 func Hilbert(e, env geom.Envelope) uint64 {
 	x, y := cell(e, env)
 	return hilbertD(x, y)
@@ -89,26 +70,16 @@ func hilbertD(x, y uint32) uint64 {
 	return d
 }
 
-// SortByZOrder sorts geometries in place by the Z-order index of their
-// MBR centers within env.
-func SortByZOrder(gs []geom.Geometry, env geom.Envelope) {
-	sortByKey(gs, func(g geom.Geometry) uint64 { return ZOrder(g.Envelope(), env) })
-}
-
-// SortByHilbert sorts geometries in place by Hilbert index within env.
+// SortByHilbert sorts geometries in place by the Hilbert index of their
+// MBR centers within env (each key computed once per element).
 func SortByHilbert(gs []geom.Geometry, env geom.Envelope) {
-	sortByKey(gs, func(g geom.Geometry) uint64 { return Hilbert(g.Envelope(), env) })
-}
-
-// sortByKey sorts by a precomputed uint64 key (computed once per element).
-func sortByKey(gs []geom.Geometry, key func(geom.Geometry) uint64) {
 	type keyed struct {
 		k uint64
 		g geom.Geometry
 	}
 	ks := make([]keyed, len(gs))
 	for i, g := range gs {
-		ks[i] = keyed{k: key(g), g: g}
+		ks[i] = keyed{k: Hilbert(g.Envelope(), env), g: g}
 	}
 	// Standard library sort via sort.Slice would need the sort import;
 	// a bottom-up merge keeps the package dependency-free and stable.

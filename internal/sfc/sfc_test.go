@@ -15,28 +15,6 @@ func envAt(x, y float64) geom.Envelope {
 	return geom.Envelope{MinX: x, MinY: y, MaxX: x, MaxY: y}
 }
 
-func TestZOrderQuadrants(t *testing.T) {
-	// Z-order visits quadrants in the order SW, SE, NW, NE (x interleaved
-	// in the even bits, y in the odd bits).
-	sw := ZOrder(envAt(-90, -45), world)
-	se := ZOrder(envAt(90, -45), world)
-	nw := ZOrder(envAt(-90, 45), world)
-	ne := ZOrder(envAt(90, 45), world)
-	if !(sw < se && se < nw && nw < ne) {
-		t.Errorf("quadrant order: sw=%d se=%d nw=%d ne=%d", sw, se, nw, ne)
-	}
-}
-
-func TestInterleaveBits(t *testing.T) {
-	// interleave(0b11) = 0b0101.
-	if got := interleave(3); got != 5 {
-		t.Errorf("interleave(3) = %b, want 101", got)
-	}
-	if got := interleave(0xFFFFFFFF); got != 0x5555555555555555 {
-		t.Errorf("interleave(all ones) = %x", got)
-	}
-}
-
 func TestHilbertDistinctCorners(t *testing.T) {
 	// The four corner cells must map to distinct indices and the origin
 	// corner to 0.
@@ -91,66 +69,21 @@ func TestHilbertAdjacencyProperty(t *testing.T) {
 	}
 }
 
-// TestZOrderLocalityProperty: nearby points should have nearer Z indexes
-// than far-apart points, on average — the locality that makes sorted data
-// spatially coherent.
-func TestZOrderLocalityProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	nearBeats := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		x := r.Float64()*300 - 150
-		y := r.Float64()*150 - 75
-		base := ZOrder(envAt(x, y), world)
-		near := ZOrder(envAt(x+0.01, y+0.01), world)
-		far := ZOrder(envAt(-x, -y), world)
-		dNear := absDiff(base, near)
-		dFar := absDiff(base, far)
-		if dNear < dFar {
-			nearBeats++
-		}
-	}
-	if nearBeats < trials*9/10 {
-		t.Errorf("near point had closer Z index in only %d/%d trials", nearBeats, trials)
-	}
-}
-
-func absDiff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-// TestSortStableAndOrdered: both sorts produce monotone key sequences and
-// preserve the multiset.
+// TestSortStableAndOrdered: the sort produces a monotone key sequence and
+// preserves the multiset.
 func TestSortStableAndOrdered(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	mk := func() []geom.Geometry {
-		gs := make([]geom.Geometry, 500)
-		for i := range gs {
-			gs[i] = geom.Point{X: r.Float64()*360 - 180, Y: r.Float64()*180 - 90}
-		}
-		return gs
+	gs := make([]geom.Geometry, 500)
+	for i := range gs {
+		gs[i] = geom.Point{X: r.Float64()*360 - 180, Y: r.Float64()*180 - 90}
 	}
-	for name, sortFn := range map[string]func([]geom.Geometry, geom.Envelope){
-		"zorder":  SortByZOrder,
-		"hilbert": SortByHilbert,
-	} {
-		gs := mk()
-		want := len(gs)
-		sortFn(gs, world)
-		if len(gs) != want {
-			t.Fatalf("%s: lost elements", name)
-		}
-		keyFn := ZOrder
-		if name == "hilbert" {
-			keyFn = Hilbert
-		}
-		for i := 1; i < len(gs); i++ {
-			if keyFn(gs[i-1].Envelope(), world) > keyFn(gs[i].Envelope(), world) {
-				t.Fatalf("%s: out of order at %d", name, i)
-			}
+	SortByHilbert(gs, world)
+	if len(gs) != 500 {
+		t.Fatalf("lost elements")
+	}
+	for i := 1; i < len(gs); i++ {
+		if Hilbert(gs[i-1].Envelope(), world) > Hilbert(gs[i].Envelope(), world) {
+			t.Fatalf("out of order at %d", i)
 		}
 	}
 }
@@ -168,15 +101,15 @@ func TestQuantizeBounds(t *testing.T) {
 	}
 }
 
-// Property: Hilbert and Z-order indexes are deterministic functions of the
-// quantized cell — equal inputs, equal outputs.
+// Property: Hilbert indexes are deterministic functions of the quantized
+// cell — equal inputs, equal outputs.
 func TestCurveDeterminismProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(21))}
 	prop := func(xs, ys uint16) bool {
 		x := float64(xs)/65535*360 - 180
 		y := float64(ys)/65535*180 - 90
 		e := envAt(x, y)
-		return ZOrder(e, world) == ZOrder(e, world) && Hilbert(e, world) == Hilbert(e, world)
+		return Hilbert(e, world) == Hilbert(e, world)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)

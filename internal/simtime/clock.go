@@ -43,9 +43,6 @@ func (c *Clock) AdvanceTo(t float64) {
 	}
 }
 
-// Reset rewinds the clock to zero. Only test harnesses use this.
-func (c *Clock) Reset() { c.now = 0 }
-
 // Max returns the maximum of a set of timestamps. It is the join operation
 // used by barriers and collective completions.
 func Max(ts ...float64) float64 {
@@ -56,18 +53,4 @@ func Max(ts ...float64) float64 {
 		}
 	}
 	return m
-}
-
-// Span describes a half-open virtual-time interval [Start, End).
-type Span struct {
-	Start float64
-	End   float64
-}
-
-// Duration returns End-Start.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
-// Overlaps reports whether two spans intersect.
-func (s Span) Overlaps(o Span) bool {
-	return s.Start < o.End && o.Start < s.End
 }

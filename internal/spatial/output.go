@@ -114,7 +114,7 @@ func WriteCells(c *mpi.Comm, f *mpiio.File, g grid.Partition, owned map[int][]ge
 
 // opMaxInt64 folds int64 buffers element-wise by maximum — used to
 // assemble disjointly-contributed metadata vectors.
-var opMaxInt64 = mpi.OpCreate("MPI_MAX_INT64", true, func(in, inout []byte, count int, dt *mpi.Datatype) error {
+var opMaxInt64 = mpi.OpCreate("MPI_MAX_INT64", func(in, inout []byte, count int, dt *mpi.Datatype) error {
 	if dt.Size() != 8 {
 		return fmt.Errorf("MPI_MAX_INT64 requires an 8-byte type, got %s", dt.Name())
 	}

@@ -126,13 +126,6 @@ func (o JoinOptions) cells() int {
 	return 1024
 }
 
-func (o JoinOptions) predicate() func(a, b geom.Geometry) bool {
-	if o.Predicate != nil {
-		return o.Predicate
-	}
-	return geom.Intersects
-}
-
 // uniformPartition builds the default partition — a near-square uniform
 // grid of about `cells` cells over the global envelope.
 //

@@ -64,7 +64,7 @@ func TestDecodeRectsTruncated(t *testing.T) {
 		{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
 		{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3},
 	}
-	buf := EncodeRects(rects)
+	buf := encodeRects(rects)
 	if _, err := DecodeRects(buf[:len(buf)-5]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("partial trailing record: err = %v, want ErrTruncated", err)
 	}

@@ -120,13 +120,22 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// encodeRects lays MBRs out as consecutive fixed records.
+func encodeRects(rects []geom.Envelope) []byte {
+	var dst []byte
+	for _, e := range rects {
+		dst = AppendRect(dst, e)
+	}
+	return dst
+}
+
 func TestRectRecords(t *testing.T) {
 	rects := []geom.Envelope{
 		env(0, 0, 1, 1),
 		env(-5, -5, 5, 5),
 		env(2.5, 3.5, 2.5, 3.5),
 	}
-	buf := EncodeRects(rects)
+	buf := encodeRects(rects)
 	if len(buf) != len(rects)*RectRecordSize {
 		t.Fatalf("encoded length = %d", len(buf))
 	}
@@ -139,24 +148,6 @@ func TestRectRecords(t *testing.T) {
 	}
 	if _, err := DecodeRect(buf[:31]); err == nil {
 		t.Error("short rect decode should fail")
-	}
-}
-
-func TestPointRecords(t *testing.T) {
-	p := pt(3.25, -7.75)
-	buf := AppendPointRecord(nil, p)
-	if len(buf) != PointRecordSize {
-		t.Fatalf("point record length = %d", len(buf))
-	}
-	got, err := DecodePointRecord(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Errorf("point record round trip = %+v", got)
-	}
-	if _, err := DecodePointRecord(buf[:8]); err == nil {
-		t.Error("short point decode should fail")
 	}
 }
 
